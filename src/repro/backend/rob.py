@@ -22,6 +22,9 @@ class ReorderBuffer:
         self.capacity = capacity
         self._entries: Deque[MicroOp] = deque()
         self.retired = 0
+        # µops removed by squashes (observation only, not checkpointed:
+        # the invariant checker's conservation ledger).
+        self.squashed = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -68,6 +71,7 @@ class ReorderBuffer:
                 squashed.append(self._entries.pop())
             else:
                 break
+        self.squashed += len(squashed)
         return squashed
 
     def __iter__(self):

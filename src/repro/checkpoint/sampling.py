@@ -470,11 +470,12 @@ def run_sampled_chained(workload, config: Union[str, SimConfig],
     fast-forward and detailed measurement intervals.
 
     Stream positions after a detailed interval are tracked by committed
-    µops (in-flight fetch-ahead makes the next fast-forward start a few
-    µops late) — immaterial for the statistics, and what keeps this the
-    fastest shape: the stream is consumed exactly once. ``warming``
-    selects the functional-warming tier for the fast-forward legs
-    (:mod:`repro.pipeline.warming`).
+    µops (in-flight fetch-ahead makes the next fast-forward start late
+    by at most ``fetch_queue_entries + rob_entries`` µops, the bounded
+    frontend plus the ROB) — immaterial for the statistics, and what
+    keeps this the fastest shape: the stream is consumed exactly once.
+    ``warming`` selects the functional-warming tier for the fast-forward
+    legs (:mod:`repro.pipeline.warming`).
     """
     from repro.pipeline.cpu import Simulator
 

@@ -80,7 +80,9 @@ from repro.traces.registry import (
 #: (Checkpoint-producing payloads — produce/checkpoint_store — never
 #: enter this cache: their output lives in the checkpoint store, and
 #: the new fields change keys via the content hash, not the schema.)
-CACHE_SCHEMA = 3
+#: 4: the frontend became bounded (``fetch_queue_entries``), so entries
+#: simulated by the unbounded model must never be served again.
+CACHE_SCHEMA = 4
 
 _DISABLE_TOKENS = frozenset({"", "off", "none", "0"})
 

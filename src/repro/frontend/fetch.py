@@ -8,6 +8,13 @@ this is the 15−D-cycle in-order frontend of Section 3.1, which shrinks as
 the issue-to-execute delay D grows so the branch misprediction penalty
 stays constant.
 
+The frontend is bounded: it holds at most ``fetch_queue_entries`` µops
+(:attr:`CoreConfig.fetch_queue_entries`), counting the pipe and the
+virtual wrong-path groups behind it. Fetch skips any cycle in which one
+more full-width group would overflow that capacity, so a stalled backend
+back-pressures fetch instead of letting it run ahead of commit without
+limit.
+
 On a branch misprediction the stage switches to *wrong-path mode*: it stops
 consuming the correct-path trace and injects synthetic wrong-path µops
 (which consume rename/issue/execute resources and show up in the *Unique*
@@ -56,6 +63,9 @@ class FetchStage:
         self.stats = stats
         self.width = config.fetch_width
         self.depth = config.frontend_depth
+        self.capacity = config.fetch_queue_entries
+        # Fetch a group only while occupancy stays at or below this.
+        self._fetch_limit = self.capacity - self.width
         # (ready_cycle, uop) in fetch order.
         self.pipe: Deque[Tuple[int, MicroOp]] = deque()
         # Virtual wrong-path groups behind the pipe: [ready_cycle, count]
@@ -71,12 +81,18 @@ class FetchStage:
         self.trace_exhausted = False
         self.fetched_correct = 0
         self.fetched_wrong = 0
+        # µops dropped from the frontend by redirects (observation only,
+        # not checkpointed: the invariant checker's conservation ledger).
+        self.squashed = 0
 
     # ------------------------------------------------------------------
 
     def tick(self, now: int) -> None:
-        """Fetch one group of µops."""
+        """Fetch one group of µops, unless the stage is stalled after a
+        redirect or one more group would overflow the frontend queue."""
         if now < self._stall_until:
+            return
+        if len(self.pipe) + self._wp_pending > self._fetch_limit:
             return
         if self.wrong_path:
             # Lazy wrong-path fetch: one full-width virtual group per
@@ -196,6 +212,7 @@ class FetchStage:
         discarded in bulk: seq numbering and the synthesis stream advance
         exactly as if they had been built (bit-identical to eager fetch).
         """
+        self.squashed += len(self.pipe) + self._wp_pending
         self.pipe.clear()
         if self._wp_pending:
             self.trace.skip_wrong_path(self._wp_pending)
@@ -232,6 +249,12 @@ class FetchStage:
         """
         for uop in reversed(uops_in_program_order):
             self.replay_queue.appendleft(uop)
+
+    @property
+    def occupancy(self) -> int:
+        """µops in the frontend queue: the pipe plus virtual wrong-path
+        µops not yet materialized (what :attr:`capacity` bounds)."""
+        return len(self.pipe) + self._wp_pending
 
     @property
     def done(self) -> bool:

@@ -213,11 +213,14 @@ class Simulator:
     # -- introspection helpers (tests, examples) --------------------------
 
     def occupancy(self) -> Dict[str, int]:
-        """Current ROB/IQ/recovery/LQ/SQ occupancies."""
+        """Current ROB/IQ/recovery/LQ/SQ/frontend occupancies (frontend:
+        pipe plus virtual wrong-path µops, bounded by
+        ``fetch_queue_entries``)."""
         return {
             "rob": len(self.rob),
             "iq": len(self.iq),
             "recovery": len(self.recovery),
             "lq": len(self.lsq.loads),
             "sq": len(self.lsq.stores),
+            "frontend": self.fetch.occupancy,
         }

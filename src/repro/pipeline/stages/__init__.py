@@ -28,7 +28,8 @@ Swapping or extending the machine never edits the driver loop:
   seam and the instrumentation hook: see
   :class:`repro.experiments.timeline.TracingSimulator`);
 * ``extra_stages=[MyProbe]`` inserts additional stages, anchored by
-  each class's ``after`` attribute.
+  each class's ``after`` attribute (:class:`InvariantChecker` is the
+  opt-in checked-invariants mode built this way).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Dict, Iterable, Optional, Tuple, Type
 
 from repro.pipeline.stages.base import SimulationError, Stage
 from repro.pipeline.stages.bookkeep import Bookkeep
+from repro.pipeline.stages.checked import InvariantChecker, InvariantViolation
 from repro.pipeline.stages.commit import Commit
 from repro.pipeline.stages.execute import Execute
 from repro.pipeline.stages.fetch import Fetch
@@ -118,6 +120,8 @@ __all__ = [
     "DEFAULT_STAGES",
     "Execute",
     "Fetch",
+    "InvariantChecker",
+    "InvariantViolation",
     "Issue",
     "Rename",
     "SimulationError",

@@ -24,18 +24,19 @@ __all__ = ["MetricsCollector", "OccupancyProbe", "render_metrics"]
 
 
 class OccupancyProbe(Stage):
-    """Per-cycle occupancy histograms over the backend structures.
+    """Per-cycle occupancy histograms over the machine's queues.
 
     Samples at the end of every cycle (anchored after ``bookkeep``):
-    IQ, ROB, load queue, store queue, recovery buffer, and the two
-    latch banks (issue→execute, execute→writeback). Each histogram maps
+    IQ, ROB, load queue, store queue, recovery buffer, the frontend
+    queue (pipe plus virtual wrong-path µops), and the two latch banks
+    (issue→execute, execute→writeback). Each histogram maps
     ``occupancy -> cycles observed at that occupancy``.
     """
 
     name = "telemetry_occupancy"
     after = "bookkeep"
 
-    STRUCTURES = ("iq", "rob", "lq", "sq", "recovery",
+    STRUCTURES = ("iq", "rob", "lq", "sq", "recovery", "frontend",
                   "exec_latch", "completion_latch")
 
     def __init__(self, sim) -> None:
@@ -44,6 +45,7 @@ class OccupancyProbe(Stage):
         self.rob = sim.rob
         self.lsq = sim.lsq
         self.recovery = sim.recovery
+        self.frontend = sim.fetch
         self.exec_latch = sim.exec_latch
         self.completion_latch = sim.completion_latch
         self.cycles = 0
@@ -59,6 +61,7 @@ class OccupancyProbe(Stage):
                 ("lq", len(self.lsq.loads)),
                 ("sq", len(self.lsq.stores)),
                 ("recovery", len(self.recovery)),
+                ("frontend", self.frontend.occupancy),
                 ("exec_latch", self.exec_latch.in_flight()),
                 ("completion_latch", self.completion_latch.in_flight())):
             hist = hists[name]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.common.stats import SimStats
 from repro.experiments.engine import (
+    CACHE_SCHEMA,
     EngineOptions,
     ResultCache,
     Sweep,
@@ -90,6 +91,22 @@ class TestResultCache:
         (tmp_path / key[:2] / f"{key}.json").write_text(garbage)
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) is None
+
+    def test_schema_3_entry_from_the_unbounded_frontend_is_a_miss(self, tmp_path):
+        # Schema 3 entries were simulated before fetch respected
+        # fetch_queue_entries: a warm cache must not serve them.
+        assert CACHE_SCHEMA == 4
+        key = cell_key(_payload())
+        ResultCache(tmp_path).put(key, SimStats(cycles=1, committed_uops=2))
+        path = tmp_path / key[:2] / f"{key}.json"
+        entry = json.loads(path.read_text())
+        assert entry["schema"] == CACHE_SCHEMA
+        assert ResultCache(tmp_path).get(key) is not None
+        entry["schema"] = 3
+        path.write_text(json.dumps(entry))
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(key) is None
+        assert fresh.misses == 1
 
     def test_disabled_disk_layer(self):
         cache = ResultCache(None)

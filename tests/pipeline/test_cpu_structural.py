@@ -88,4 +88,4 @@ def test_occupancy_snapshot_keys():
     cfg = spec_config()
     sim = Simulator(cfg, ListTrace(independent_alus(4)))
     occ = sim.occupancy()
-    assert set(occ) == {"rob", "iq", "recovery", "lq", "sq"}
+    assert set(occ) == {"rob", "iq", "recovery", "lq", "sq", "frontend"}

@@ -9,6 +9,7 @@ from repro.isa.opclass import OpClass
 from repro.isa.trace import ListTrace
 from repro.isa.uop import MicroOp
 from repro.pipeline.cpu import Simulator
+from repro.pipeline.stages import InvariantChecker
 
 from tests.conftest import spec_config
 
@@ -58,9 +59,11 @@ class TestPipelineTotality:
     @given(traces(), st.sampled_from(range(len(CONFIGS))))
     @settings(max_examples=40, deadline=None)
     def test_every_trace_drains_and_commits_exactly_once(self, uops, cfg_i):
-        """No deadlock, no lost or duplicated µops, operand validity holds
-        (the core raises SimulationError otherwise)."""
-        sim = Simulator(CONFIGS[cfg_i], ListTrace(uops))
+        """No deadlock, no lost or duplicated µops, operand validity holds,
+        and every checked invariant holds each cycle (the core raises
+        SimulationError otherwise)."""
+        sim = Simulator(CONFIGS[cfg_i], ListTrace(uops),
+                        extra_stages=[InvariantChecker])
         sim.run(max_cycles=30_000)
         assert sim.done
         assert sim.stats.committed_uops == len(uops)

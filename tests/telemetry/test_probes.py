@@ -55,6 +55,19 @@ def test_occupancy_probe_samples_every_cycle():
     assert summary["structures"]["rob"]["peak"] > 0
 
 
+def test_frontend_occupancy_stays_within_fetch_queue_entries():
+    """libquantum stalls the backend for long stretches: the frontend
+    histogram is what shows fetch backing off at its capacity."""
+    config = make_config("SpecSched_4_Crit", banked=True)
+    sim = Simulator(config, get_workload("libquantum").build_trace(1),
+                    extra_stages=[OccupancyProbe])
+    sim.run(max_uops=UOPS)
+    frontend = sim.stage(OccupancyProbe.name).summary()["structures"]["frontend"]
+    capacity = config.core.fetch_queue_entries
+    assert capacity - config.core.fetch_width < frontend["peak"] <= capacity
+    assert "frontend" in sim.occupancy()
+
+
 def test_collector_finalize_fills_the_telemetry_table():
     collector = MetricsCollector()
     sim = _run(collector)

@@ -24,6 +24,10 @@ from repro.isa.uop import MicroOp
 NEVER = 1 << 60
 
 
+def _seq(uop: MicroOp) -> int:
+    return uop.seq
+
+
 class Scoreboard:
     """Per-physical-register readiness + wakeup event queue."""
 
@@ -35,7 +39,9 @@ class Scoreboard:
         self.data_ready_at = [0] * num_pregs    # earliest valid Execute cycle
         self.version = [0] * num_pregs          # cancels stale wakeup events
         self._waiters: Dict[int, List[MicroOp]] = {}
-        self._events: Dict[int, List[tuple]] = {}  # cycle -> [(preg, version)]
+        # Wakeup calendar, cycle -> [(preg, version)]. Public so the
+        # pipeline binds it once; restores mutate it in place.
+        self.events: Dict[int, List[tuple]] = {}
         self.on_ready = on_ready or (lambda uop: None)
         self.wakeups_fired = 0
 
@@ -51,7 +57,7 @@ class Scoreboard:
         self.data_ready_at[preg] = data_ready_exec
         version = self.version[preg] + 1
         self.version[preg] = version
-        events = self._events
+        events = self.events
         entry = events.get(wake_cycle)
         if entry is None:
             events[wake_cycle] = [(preg, version)]
@@ -121,7 +127,7 @@ class Scoreboard:
         Newly source-complete µops are handed to ``on_ready`` (the core
         routes them into the IQ or recovery-buffer ready lists).
         """
-        events = self._events.pop(now, None)
+        events = self.events.pop(now, None)
         if not events:
             return
         versions = self.version
@@ -157,15 +163,19 @@ class Scoreboard:
     # -- state protocol (repro.checkpoint) -------------------------------
 
     def state_dict(self, ctx) -> dict:
+        """Waiter lists are stored preg- and seq-sorted for a
+        deterministic encoding: a replay re-arms them in the IQ's set
+        order, and their order never affects behaviour (woken µops
+        enter the seq-sorted ready lists)."""
         return {
             "ready": list(self.ready),
             "ready_at": list(self.ready_at),
             "data_ready_at": list(self.data_ready_at),
             "version": list(self.version),
-            "waiters": [(preg, ctx.refs(waiters))
-                        for preg, waiters in self._waiters.items()],
+            "waiters": [(preg, ctx.refs(sorted(waiters, key=_seq)))
+                        for preg, waiters in sorted(self._waiters.items())],
             "events": [(cycle, [tuple(e) for e in events])
-                       for cycle, events in self._events.items()],
+                       for cycle, events in self.events.items()],
             "wakeups_fired": self.wakeups_fired,
         }
 
@@ -176,8 +186,10 @@ class Scoreboard:
         self.version[:] = state["version"]
         self._waiters = {preg: ctx.uops(refs)
                          for preg, refs in state["waiters"]}
-        self._events = {cycle: [tuple(e) for e in events]
-                        for cycle, events in state["events"]}
+        events = self.events
+        events.clear()
+        for cycle, entries in state["events"]:
+            events[cycle] = [tuple(e) for e in entries]
         self.wakeups_fired = state["wakeups_fired"]
 
     def rewatch(self, uop: MicroOp) -> int:

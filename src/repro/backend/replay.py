@@ -51,7 +51,9 @@ class ReplayController:
 
     def __init__(self, delay: int) -> None:
         self.delay = delay
-        self._events: Dict[int, List[ReplayEvent]] = {}
+        # Detection calendar, cycle -> [ReplayEvent]. Public so the
+        # pipeline binds it once; restores mutate it in place.
+        self.events: Dict[int, List[ReplayEvent]] = {}
         self._window: Deque[Tuple[int, List[MicroOp]]] = deque()
         self.events_fired = 0
 
@@ -73,13 +75,13 @@ class ReplayController:
     # -- detection ------------------------------------------------------------
 
     def schedule(self, event: ReplayEvent, detection_cycle: int) -> None:
-        self._events.setdefault(detection_cycle, []).append(event)
+        self.events.setdefault(detection_cycle, []).append(event)
 
     def has_event(self, now: int) -> bool:
-        return now in self._events
+        return now in self.events
 
     def pop_events(self, now: int) -> List[ReplayEvent]:
-        events = self._events.pop(now, [])
+        events = self.events.pop(now, [])
         if events:
             self.events_fired += len(events)
             events.sort(key=_event_seq)
@@ -92,17 +94,18 @@ class ReplayController:
             "events": [
                 (cycle, [(ctx.ref(e.load), e.cause, e.corrected_latency)
                          for e in events])
-                for cycle, events in self._events.items()],
+                for cycle, events in self.events.items()],
             "window": [(cycle, ctx.refs(group))
                        for cycle, group in self._window],
             "events_fired": self.events_fired,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
-        self._events = {
-            cycle: [ReplayEvent(ctx.uop(ref), cause, alat)
-                    for ref, cause, alat in events]
-            for cycle, events in state["events"]}
+        events = self.events
+        events.clear()
+        for cycle, entries in state["events"]:
+            events[cycle] = [ReplayEvent(ctx.uop(ref), cause, alat)
+                             for ref, cause, alat in entries]
         self._window = deque(
             (cycle, ctx.uops(refs)) for cycle, refs in state["window"])
         self.events_fired = state["events_fired"]

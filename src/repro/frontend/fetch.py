@@ -250,6 +250,27 @@ class FetchStage:
         for uop in reversed(uops_in_program_order):
             self.replay_queue.appendleft(uop)
 
+    def next_fetch(self, now: int) -> Optional[int]:
+        """Earliest cycle ``>= now`` at which :meth:`tick` could fetch,
+        or ``None`` while the queue is full or the stream is drained
+        (an exhausted trace keeps returning ``None`` without effect)."""
+        if len(self.pipe) + self._wp_pending > self._fetch_limit:
+            return None
+        if self.trace_exhausted and not self.wrong_path and not self.replay_queue:
+            return None
+        stall = self._stall_until
+        return stall if stall > now else now
+
+    def head_ready(self) -> Optional[int]:
+        """Cycle the oldest frontend µop (the pipe head, else the oldest
+        virtual wrong-path group) finishes its traversal; ``None`` when
+        the frontend is empty."""
+        if self.pipe:
+            return self.pipe[0][0]
+        if self._wp_groups:
+            return self._wp_groups[0][0]
+        return None
+
     @property
     def occupancy(self) -> int:
         """µops in the frontend queue: the pipe plus virtual wrong-path

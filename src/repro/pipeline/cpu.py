@@ -6,7 +6,15 @@ under one configuration. The machine itself lives in
 wires and latches of :mod:`repro.pipeline.ports` — and the driver's
 :meth:`Simulator.step` is a tick over that stage list, nothing more. Tick
 order, wiring diagram and timing contract (Section 4.1 / Figure 1)
-are documented normatively in ``docs/ARCHITECTURE.md``."""
+are documented normatively in ``docs/ARCHITECTURE.md``.
+
+:meth:`Simulator.run` skips quiescent cycles: after a cycle that neither
+issued nor committed it asks every stage for its next-event horizon
+(:meth:`~repro.pipeline.stages.base.Stage.next_event`) and, when all of
+them lie ahead, jumps straight to the earliest — a skipped cycle is one
+in which every stage's tick would have been a no-op, so the machine
+state at every ``run`` return is identical to plain ticking.
+:meth:`Simulator.step` stays the one-cycle reference."""
 
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ from repro.pipeline import checkpointing
 from repro.pipeline.warming import warm_stream
 from repro.pipeline.ports import DelayQueue, Port, Wire
 from repro.pipeline.stages import build_stages
-from repro.pipeline.stages.base import SimulationError, Stage
+from repro.pipeline.stages.base import NEVER, SimulationError, Stage, declares_next_event
 from repro.rename.rename import RegisterRenamer
 
 __all__ = ["SimulationError", "Simulator"]
@@ -126,14 +134,75 @@ class Simulator:
         return self.fetch.done and self.rob.empty
 
     def run(self, max_uops: Optional[int] = None, max_cycles: Optional[int] = None) -> SimStats:
-        """Simulate until done / ``max_uops`` committed / ``max_cycles``."""
+        """Simulate until done / ``max_uops`` committed / ``max_cycles``,
+        skipping quiescent cycles (module docstring)."""
         stats = self.stats
         step = self.step
         uop_budget = float("inf") if max_uops is None else max_uops
         cycle_budget = float("inf") if max_cycles is None else max_cycles
-        while (not self.done and stats.committed_uops < uop_budget and stats.cycles < cycle_budget):
+        # Idle-cycle skipping needs a horizon from every stage; one
+        # undeclared stage keeps the whole machine on plain ticking.
+        skipping = all(declares_next_event(stage) for stage in self.stages)
+        # Asked front to back: fetch and rename are the stages likeliest
+        # to act in a cycle that neither issued nor committed.
+        horizons = tuple(stage.next_event for stage in reversed(self.stages))
+        exec_slots = self.exec_latch.slots
+        completion_slots = self.completion_latch.slots
+        wakeups = self.scoreboard.events
+        replays = self.replay.events
+        while not self.done and stats.committed_uops < uop_budget and stats.cycles < cycle_budget:
+            progress = stats.issued_total + stats.committed_uops
             step()
+            if not skipping or stats.issued_total + stats.committed_uops != progress:
+                continue
+            # A calendar due now means this cycle acts; one due next cycle
+            # caps the jump at one idle tick, which costs no more to run
+            # than the horizon query would.
+            now = self.now
+            soon = now + 1
+            if (
+                now in exec_slots
+                or now in completion_slots
+                or now in wakeups
+                or now in replays
+                or soon in exec_slots
+                or soon in completion_slots
+                or soon in wakeups
+                or soon in replays
+                or self.done
+            ):
+                continue
+            self._skip_idle(now, horizons, cycle_budget)
         return stats
+
+    def _skip_idle(self, now: int, horizons, cycle_budget) -> None:
+        """Jump from ``now`` to the earliest stage horizon (capped at the
+        deadlock trap's cycle and the cycle budget), applying the
+        skipped cycles' per-cycle bookkeeping in closed form."""
+        target = NEVER
+        for horizon in horizons:
+            cycle = horizon(now)
+            if cycle <= now:
+                return
+            if cycle < target:
+                target = cycle
+        stats = self.stats
+        target = min(
+            target,
+            self.last_commit.value + self.DEADLOCK_LIMIT + 1,
+            now + (cycle_budget - stats.cycles),
+        )
+        skipped = target - now
+        if skipped <= 0:
+            return
+        self.now = target
+        stats.cycles += skipped
+        if self.phase_profile is not None:
+            self.phase_profile.cycles += skipped
+        # What the skipped cycles' prologues and Bookkeep ticks did.
+        self.l1_miss.value = self.l1_access.value = False
+        self.fus.new_cycle()
+        self.replay.prune(target - 1)
 
     def run_with_warmup(
         self, warmup_uops: int, measure_uops: int, max_cycles: Optional[int] = None

@@ -16,6 +16,13 @@ Contract (normative statement in ``docs/ARCHITECTURE.md``):
   machine;
 * ``tick(now)`` advances the stage one cycle and communicates only
   through ports, wires, latches and the shared structures it bound;
+* ``next_event(now)`` returns the earliest cycle ``>= now`` at which
+  ``tick`` could change any state, assuming no other stage acts first
+  (:data:`NEVER` when only another stage can unblock it). The driver
+  skips a cycle only when every stage's horizon lies beyond it. The
+  default returns ``now`` — "never skip" — so a stage that does not
+  declare a horizon (and a subclass that overrides ``tick`` below the
+  class that declared one) keeps the machine on plain ticking;
 * ``state_dict(ctx)`` / ``load_state_dict(state, ctx)`` implement the
   component state protocol (:mod:`repro.checkpoint.state`) for state the
   stage *owns* (most stages own none — shared structures and latches are
@@ -31,6 +38,11 @@ Contract (normative statement in ``docs/ARCHITECTURE.md``):
 from __future__ import annotations
 
 from typing import Dict, Optional
+
+
+#: :meth:`Stage.next_event`'s "nothing pending" horizon: only another
+#: stage's action can give this stage work.
+NEVER = 1 << 62
 
 
 class SimulationError(RuntimeError):
@@ -61,6 +73,11 @@ class Stage:
         """Advance the stage one cycle."""
         raise NotImplementedError
 
+    def next_event(self, now: int) -> int:
+        """Earliest cycle ``>= now`` at which :meth:`tick` could change
+        state if no other stage acts first (``now``: never skip)."""
+        return now
+
     # -- state protocol (repro.checkpoint) -------------------------------
 
     def state_dict(self, ctx) -> Dict:
@@ -70,3 +87,16 @@ class Stage:
     def load_state_dict(self, state: Dict, ctx) -> None:
         """Restore a :meth:`state_dict` snapshot — ``{}`` means "reset
         to the empty state" (no-op by default: stateless)."""
+
+
+def declares_next_event(stage: Stage) -> bool:
+    """True when ``stage``'s horizon speaks for its ``tick``: some class
+    below :class:`Stage` defines ``next_event``, and neither a subclass
+    of that class nor the instance re-defines ``tick`` (an overridden
+    tick may act on cycles the inherited horizon knows nothing about)."""
+    if "tick" in vars(stage) and "next_event" not in vars(stage):
+        return False
+    mro = type(stage).__mro__
+    owner = next(klass for klass in mro if "next_event" in vars(klass))
+    ticker = next(klass for klass in mro if "tick" in vars(klass))
+    return owner is not Stage and issubclass(owner, ticker)

@@ -11,7 +11,7 @@ here, which is why it is last in the tick order.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Bookkeep(Stage):
@@ -31,3 +31,8 @@ class Bookkeep(Stage):
         """Feed the cycle's L1 outcome to the policy; prune the window."""
         self.policy.on_cycle(self.l1_miss.value, self.l1_access.value)
         self.replay.prune(now)
+
+    def next_event(self, now: int) -> int:
+        """Never: an idle cycle feeds the policy no L1 access (a no-op)
+        and the driver applies a skipped span's prune in closed form."""
+        return NEVER

@@ -17,11 +17,16 @@ the cycle and the structure the moment one of these breaks:
   exact from a cold start; after a checkpoint restore it re-baselines
   (squash counts are observation-only and not checkpointed) and must
   then stay balanced;
-* **commit order** — retired µops' ``seq`` numbers strictly increase.
+* **commit order** — retired µops' ``seq`` numbers strictly increase;
+* **calendars** — no scoreboard, latch or replay calendar holds a key
+  at or before the cycle just completed: such an entry would never be
+  popped, so it would leak and pin the idle-skip horizon.
 
 It reads shared structures and never writes them, so a checked run's
-``SimStats`` are bit-identical to an unchecked one's. The cost (an ROB
-snapshot per cycle) is why it is opt-in.
+``SimStats`` are bit-identical to an unchecked one's; it declares no
+horizon of its own (``next_event`` is never), so checked runs exercise
+the driver's idle-cycle skip too — skipped cycles change no state. The
+cost (an ROB snapshot per cycle) is why it is opt-in.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.isa.uop import MicroOp
-from repro.pipeline.stages.base import SimulationError, Stage
+from repro.pipeline.stages.base import NEVER, SimulationError, Stage
 
 
 class InvariantViolation(SimulationError):
@@ -59,6 +64,12 @@ class InvariantChecker(Stage):
             ("lq", core.lq_entries),
             ("sq", core.sq_entries),
             ("frontend", core.fetch_queue_entries),
+        )
+        self.calendars = (
+            ("exec_latch", sim.exec_latch.slots),
+            ("completion_latch", sim.completion_latch.slots),
+            ("scoreboard", sim.scoreboard.events),
+            ("replay", sim.replay.events),
         )
         self._reset(balance=0)
 
@@ -95,6 +106,15 @@ class InvariantChecker(Stage):
                 f"expected {self._balance}",
             )
         self._check_commit_order(now)
+        for structure, calendar in self.calendars:
+            if calendar and min(calendar) <= now:
+                raise InvariantViolation(
+                    now, structure, f"calendar entry for past cycle {min(calendar)} never pops"
+                )
+
+    def next_event(self, now: int) -> int:
+        """Never: a pure observer, and skipped cycles change no state."""
+        return NEVER
 
     def _check_commit_order(self, now: int) -> None:
         # Commit ticks first, so this cycle's retirees are the head of

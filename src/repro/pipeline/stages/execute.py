@@ -28,7 +28,7 @@ from repro.backend.replay import ReplayEvent
 from repro.common.stats import CAUSE_BANK_CONFLICT, CAUSE_L1_MISS
 from repro.isa.opclass import EXEC_LATENCY_BY_OP
 from repro.isa.uop import MicroOp
-from repro.pipeline.stages.base import SimulationError, Stage
+from repro.pipeline.stages.base import NEVER, SimulationError, Stage
 
 
 class Execute(Stage):
@@ -55,6 +55,7 @@ class Execute(Stage):
         self.load_to_use = sim.load_to_use
         self._slots = sim.exec_latch.slots
         self._completion_slots = sim.completion_latch.slots
+        self._replay_events = sim.replay.events
         self.issue_block = sim.issue_block
         self.l1_miss = sim.l1_miss
         self.l1_access = sim.l1_access
@@ -71,6 +72,14 @@ class Execute(Stage):
             if uop.dead or uop.squashed or uop.num_issues != issue_id:
                 continue
             self._execute_uop(uop, now)
+
+    def next_event(self, now: int) -> int:
+        """The earliest issue→execute delivery or replay detection."""
+        slots, events = self._slots, self._replay_events
+        horizon = min(slots) if slots else NEVER
+        if events:
+            horizon = min(horizon, min(events))
+        return horizon
 
     def _execute_uop(self, uop: MicroOp, now: int) -> None:
         if not self.scoreboard.operands_data_valid(uop, now):

@@ -18,7 +18,7 @@ stage-protocol adapter the driver ticks.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Fetch(Stage):
@@ -34,3 +34,9 @@ class Fetch(Stage):
     def tick(self, now: int) -> None:
         """Fetch/decode one cycle of µops into the frontend pipe."""
         self.frontend.tick(now)
+
+    def next_event(self, now: int) -> int:
+        """The end of a redirect stall; never while the queue is full
+        (only Rename drains it) or the stream is drained."""
+        cycle = self.frontend.next_fetch(now)
+        return NEVER if cycle is None else cycle

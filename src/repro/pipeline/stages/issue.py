@@ -28,7 +28,7 @@ from typing import List
 
 from repro.isa.opclass import EXEC_LATENCY_BY_OP
 from repro.isa.uop import MicroOp
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Issue(Stage):
@@ -83,6 +83,12 @@ class Issue(Stage):
             ready = self.iq.take_ready()
             if ready:
                 self._issue_from(ready, budget, now)
+
+    def next_event(self, now: int) -> int:
+        """``now`` while either ready list holds a candidate; otherwise
+        only a wakeup (or a replay re-arm) can give Issue work. A replay
+        blocks issue only in the cycle Execute handles it."""
+        return now if self.recovery.ready or self.iq.ready else NEVER
 
     def _issue_from(self, candidates: List[MicroOp], budget: int, now: int) -> int:
         for uop in list(candidates):

@@ -18,7 +18,7 @@ frontend pipe) in the stage map.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Rename(Stage):
@@ -42,22 +42,38 @@ class Rename(Stage):
         """Rename and dispatch up to ``rename_width`` µops, stalling in
         order on the first structural hazard."""
         fetch = self.frontend
-        rob, iq, lsq = self.rob, self.iq, self.lsq
-        renamer = self.renamer
+        blocked = self._blocked
         for _ in range(self.width):
             uop = fetch.peek(now)
-            if uop is None:
-                return
-            if (
-                rob.full
-                or iq.full
-                or not renamer.can_rename(uop)
-                or (uop.is_load and lsq.lq_full())
-                or (uop.is_store and lsq.sq_full())
-            ):
+            if uop is None or blocked(uop):
                 return
             fetch.pop()
             self._dispatch(uop, now)
+
+    def _blocked(self, uop) -> bool:
+        """True when allocating ``uop`` would overflow a structure."""
+        lsq = self.lsq
+        return (
+            self.rob.full
+            or self.iq.full
+            or not self.renamer.can_rename(uop)
+            or (uop.is_load and lsq.lq_full())
+            or (uop.is_store and lsq.sq_full())
+        )
+
+    def next_event(self, now: int) -> int:
+        """The frontend head's delivery cycle, or never while the head
+        µop is blocked (only another stage can free its structures).
+        A virtual wrong-path head is materialized when it comes due,
+        blocked or not, so its cycle counts as an event."""
+        fetch = self.frontend
+        ready = fetch.head_ready()
+        if ready is None:
+            return NEVER
+        pipe = fetch.pipe
+        if pipe and self._blocked(pipe[0][1]):
+            return NEVER
+        return ready if ready > now else now
 
     def _dispatch(self, uop, now: int) -> None:
         """Atomic rename+dispatch of one accepted µop (the per-µop seam

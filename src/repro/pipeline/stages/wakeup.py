@@ -15,7 +15,7 @@ either independently.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Wakeup(Stage):
@@ -27,7 +27,13 @@ class Wakeup(Stage):
         """Bind the scoreboard."""
         super().__init__(sim)
         self.scoreboard = sim.scoreboard
+        self._events = sim.scoreboard.events
 
     def tick(self, now: int) -> None:
         """Deliver every wakeup event scheduled for ``now``."""
         self.scoreboard.tick(now)
+
+    def next_event(self, now: int) -> int:
+        """The scoreboard calendar's earliest wakeup cycle."""
+        events = self._events
+        return min(events) if events else NEVER

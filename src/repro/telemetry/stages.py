@@ -154,6 +154,9 @@ class TelemetryWriteback(Writeback):
             rob.note_completed(uop)
             emit(now, EV_WRITEBACK, uop.seq, uop.pc)
 
+    # The override acts on exactly the cycles the base tick does.
+    next_event = Writeback.next_event
+
 
 class TelemetryCommit(Commit):
     """Commit override: retirement plus the filter-outcome event."""

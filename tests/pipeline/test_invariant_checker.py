@@ -86,6 +86,37 @@ def test_out_of_order_retirement_trips_commit_order():
     assert info.value.structure == "commit"
 
 
+@pytest.mark.parametrize("calendar", ["scoreboard", "replay", "exec_latch", "completion_latch"])
+def test_a_past_calendar_key_trips_the_calendar_check(calendar):
+    sim = _checked_sim()
+    sim.run(max_uops=300)
+    dicts = {
+        "scoreboard": sim.scoreboard.events,
+        "replay": sim.replay.events,
+        "exec_latch": sim.exec_latch.slots,
+        "completion_latch": sim.completion_latch.slots,
+    }
+    dicts[calendar][sim.now - 1] = []      # an entry no consumer will pop
+    with pytest.raises(InvariantViolation) as info:
+        sim.step()
+    assert info.value.structure == calendar
+
+
+def test_checked_runs_skip_idle_cycles():
+    sim = _checked_sim("mcf", "SpecSched_4_Crit")
+    steps = 0
+    step = sim.step
+
+    def counted():
+        nonlocal steps
+        steps += 1
+        step()
+
+    sim.step = counted
+    sim.run(max_uops=2_000)
+    assert steps < sim.stats.cycles
+
+
 def test_restore_rebaselines_the_ledger():
     sim = _checked_sim("mcf", "SpecSched_4_Crit")
     sim.run(max_uops=2_000)

@@ -2,6 +2,8 @@
 hand traces must always drain, commit exactly once per µop, and never
 violate the operand-validity assertion baked into the core."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,3 +92,33 @@ class TestPipelineTotality:
             assert occ["rob"] <= 32
             assert occ["iq"] <= 8
         assert sim.done
+
+    @given(traces(), st.sampled_from(range(len(CONFIGS))),
+           st.integers(min_value=1, max_value=400))
+    @settings(max_examples=40, deadline=None)
+    def test_idle_skip_matches_plain_ticking(self, uops, cfg_i, split):
+        """``run`` (which skips quiescent cycles) and a plain ``step``
+        loop leave identical stats and machine state, both at a
+        mid-run cycle budget and at the end."""
+        def observe(sim):
+            return sim.stats.to_dict(), pickle.dumps(sim.state_dict())
+
+        def skipping():
+            sim = Simulator(CONFIGS[cfg_i],
+                            ListTrace([u.clone_arch(0) for u in uops]))
+            sim.run(max_cycles=split)
+            mid = observe(sim)
+            sim.run(max_cycles=30_000)
+            return mid, observe(sim)
+
+        def plain():
+            sim = Simulator(CONFIGS[cfg_i],
+                            ListTrace([u.clone_arch(0) for u in uops]))
+            marks = []
+            for budget in (split, 30_000):
+                while not sim.done and sim.stats.cycles < budget:
+                    sim.step()
+                marks.append(observe(sim))
+            return tuple(marks)
+
+        assert skipping() == plain()

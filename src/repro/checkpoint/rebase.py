@@ -1,14 +1,23 @@
 """Cross-configuration checkpoint rebase: one warming pass, many configs.
 
-Functional warming (:mod:`repro.pipeline.functional` and its vectorized
-twin) mutates exactly five state islands: the trace cursor, the cache
-hierarchy (fills, LRU order, prefetcher training), the branch unit, the
-stats block, and — only under the ``filter_ctr`` hit/miss policy — the
+Functional fast-forward (:meth:`Simulator.fast_forward`, through
+:mod:`repro.pipeline.functional` and its vectorized twin) mutates
+exactly five state islands: the trace cursor, the cache hierarchy
+(fills, LRU order, prefetcher training), the branch unit, the stats
+block, and — only under the ``filter_ctr`` hit/miss policy — the
 per-PC :class:`~repro.core.hm_filter.HitMissFilter`. Every one of those
 is a deterministic function of the µop stream and the *memory/branch*
 configuration alone; nothing the scheduling-policy parameters control
 (issue-to-execute delay, shifting, the global counter, criticality
 tables) is touched before the first detailed cycle.
+
+The detailed cell's functional warmup (:meth:`Simulator.
+functional_warmup`) is the narrower case: it streams a *separate* trace
+instance and trains no policy, so it mutates only two of the five
+islands — the cache hierarchy and the branch unit. That is why the
+engine can share one warmup across every config of a warming group
+without a checkpoint at all (:func:`repro.experiments.engine.
+simulate_payload`'s ``warm_states``).
 
 So a *purely functional* checkpoint (zero committed µops, zero cycles,
 no in-flight state) taken under configuration A can be re-targeted to

@@ -207,9 +207,10 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
                           progress=None) -> List[Dict[str, Any]]:
     """Compile base payloads into checkpoint-chained interval cells.
 
-    For each distinct warming chain among ``bases`` (same workload,
-    seed, memory and branch configuration — and, for filter-bearing
-    configs, the same hit/miss-filter shape) one sequence of
+    For each distinct warming chain among ``bases`` (same
+    :func:`~repro.experiments.engine.warming_group` — workload, seed,
+    memory and branch configuration — and, for filter-bearing configs,
+    the same hit/miss-filter shape) one sequence of
     checkpoint-producing cells walks the stream once, each interval's
     cell chaining off the previous interval's checkpoint. Chains step in
     lock-step batches through :func:`~repro.experiments.engine.
@@ -226,8 +227,8 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
         checkpoint_store_path,
         produce_payload,
         run_produce_cells,
+        warming_group,
     )
-    from repro.traces.registry import workload_identity
 
     spec.validate()
     options = options or EngineOptions.from_env()
@@ -251,12 +252,7 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
     donors: Dict[Any, Dict[str, Any]] = {}   # chain id -> donor base
     group_shapes: Dict[str, List[Any]] = {}
     for base in bases:
-        group = stable_hash({
-            "workload": workload_identity(base["workload"]),
-            "seed": base["seed"],
-            "memory": base["config"]["memory"],
-            "branch": base["config"]["branch"],
-        })
+        group = warming_group(base)
         shape = filter_shape(base["config"].get("sched", {}))
         described.append((group, shape))
         if shape is not None and (group, shape) not in donors:

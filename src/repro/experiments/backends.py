@@ -25,6 +25,9 @@ The backend contract (normative copy in ``docs/ARCHITECTURE.md``):
   (``simulate_cell`` / ``produce_cell``) — picklable, no mutable
   process-global state, result JSON-serializable — so a cell computes
   the same bytes in-process, in a pool worker, or on another machine;
+  only a backend that declares itself ``inline`` (calls the worker in
+  the submitting process, in the given order) may be handed a closure
+  over one of them carrying per-batch state;
 * cache policy is the caller's: backends only ever see cache misses,
   and the caller persists results as they stream back. A remote worker
   therefore needs the *spool* directory and any paths named inside the
@@ -82,6 +85,12 @@ class BackendError(RuntimeError):
 class ExecutionBackend:
     """Abstract execution seam: run workers over (key, payload) cells."""
 
+    #: True when ``execute`` calls the worker in this process, one cell
+    #: at a time in the given order — the caller may then pass a
+    #: closure carrying per-batch state instead of a module-level entry
+    #: point.
+    inline = False
+
     def execute(self, cells: Cells, worker: Callable[[Dict[str, Any]], Dict[str, Any]],
                 on_result: OnResult) -> None:
         raise NotImplementedError
@@ -92,6 +101,7 @@ class LocalPoolBackend(ExecutionBackend):
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
+        self.inline = self.jobs == 1
 
     def execute(self, cells: Cells, worker, on_result: OnResult) -> None:
         total = len(cells)

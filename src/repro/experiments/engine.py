@@ -56,6 +56,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -403,6 +404,81 @@ def cell_seed(payload: Dict[str, Any]) -> int:
     return payload["seed"]
 
 
+def warming_group(payload: Dict[str, Any]) -> str:
+    """The cell's warming-group key: workload identity, seed, memory and
+    branch configuration.
+
+    The caches and predictors functional warming fills are sized and
+    seeded by the memory and branch configurations alone, so cells with
+    equal keys warm them identically whatever their scheduling policy.
+    (Fast-forward also trains the hit/miss filter; chained sampling,
+    which partitions its warming chains by this key, splits chains by
+    filter shape on top.) Detailed cells share their functional warmup
+    under it (see :func:`functional_warmup_group`).
+    """
+    return stable_hash({
+        "workload": workload_identity(payload["workload"]),
+        "seed": payload["seed"],
+        "memory": payload["config"]["memory"],
+        "branch": payload["config"]["branch"],
+    })
+
+
+def functional_warmup_group(payload: Dict[str, Any]
+                            ) -> Optional[Tuple[str, int]]:
+    """Key under which detailed cells may share one functional warmup,
+    or ``None`` when the cell runs none (zero volume, or a checkpoint or
+    sampled cell)."""
+    uops = payload["functional_warmup_uops"]
+    if not uops or payload.get("checkpoint") is not None \
+            or payload.get("sampling") is not None:
+        return None
+    return warming_group(payload), uops
+
+
+#: The simulator islands :meth:`Simulator.functional_warmup` mutates —
+#: all a functionally warmed machine differs from a cold one by.
+WARMUP_ISLANDS = ("hierarchy", "branch_unit")
+
+
+def warm_state(payload: Dict[str, Any],
+               warm_states: Optional[Dict[Any, bytes]] = None) -> str:
+    """How the cell gets its functional-warmup state: ``native`` (it
+    runs the warmup), ``shared`` (it restores its group's snapshot from
+    ``warm_states``) or ``none`` (it runs no functional warmup)."""
+    group = functional_warmup_group(payload)
+    if group is None:
+        return "none"
+    return "shared" if warm_states and group in warm_states else "native"
+
+
+def _functional_warmup(sim: Simulator, workload, seed: int,
+                       payload: Dict[str, Any],
+                       warm_states: Optional[Dict[Any, bytes]]) -> None:
+    """Warm ``sim`` functionally — or restore the group's snapshot.
+
+    A snapshot is the pickled state of :data:`WARMUP_ISLANDS`; each
+    restore unpickles a fresh copy, so no two simulators ever alias
+    warmed state. Without ``warm_states`` this is the plain warmup.
+    """
+    import pickle
+
+    group = functional_warmup_group(payload)
+    blob = warm_states.get(group) if warm_states is not None else None
+    if blob is not None:
+        for name, state in pickle.loads(blob).items():
+            getattr(sim, name).load_state_dict(state)
+        return
+    sim.functional_warmup(workload.build_trace(seed),
+                          payload["functional_warmup_uops"],
+                          mode=payload.get("warming"))
+    if warm_states is not None:
+        warm_states[group] = pickle.dumps(
+            {name: getattr(sim, name).state_dict()
+             for name in WARMUP_ISLANDS},
+            protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
                              phase_profile=None, event_bus=None,
                              extra_stages=()) -> Tuple[Simulator, int]:
@@ -442,11 +518,22 @@ def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
 
 
 def simulate_payload(payload: Dict[str, Any],
-                     phase_profile=None, collector=None) -> Dict[str, Any]:
+                     phase_profile=None, collector=None,
+                     warm_states: Optional[Dict[Any, bytes]] = None
+                     ) -> Dict[str, Any]:
     """Worker entry point: simulate one cell, return its counter dict.
 
     Runs in worker processes under ``jobs > 1``; must stay a module-level
     function (picklable) and must touch no process-global mutable state.
+    ``warm_states`` is the one piece of shared state a cell may see, and
+    it is the caller's: a dict of functional-warmup snapshots keyed by
+    :func:`functional_warmup_group`. A cell whose group has a snapshot
+    restores it instead of warming (the state is identical by
+    construction); a cell whose group has none warms natively and
+    stores its snapshot. :func:`run_cells` passes one dict per inline
+    batch and drops each snapshot after its group's last cell; called
+    without it (the pool, the queue worker, ``repro bench``) every cell
+    warms natively, so results never depend on what ran before.
     ``phase_profile`` (a :class:`repro.perf.instrument.PhaseProfile`)
     attaches per-stage cycle-loop timers — benchmarks only; it is never
     set on the worker-pool path. ``collector`` (a
@@ -532,9 +619,7 @@ def simulate_payload(payload: Dict[str, Any],
         return measured.to_dict()
 
     if payload["functional_warmup_uops"]:
-        sim.functional_warmup(workload.build_trace(seed),
-                              payload["functional_warmup_uops"],
-                              mode=warming)
+        _functional_warmup(sim, workload, seed, payload, warm_states)
     stats = sim.run_with_warmup(payload["warmup_uops"],
                                 payload["measure_uops"],
                                 max_cycles=payload.get("max_cycles"))
@@ -574,12 +659,15 @@ def required_trace_uops(workload_data: Dict[str, Any], *,
             f"re-record with more µops (`repro trace record --uops N`)")
 
 
-def simulate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
+def simulate_cell(payload: Dict[str, Any],
+                  warm_states: Optional[Dict[Any, bytes]] = None
+                  ) -> Dict[str, Any]:
     """Worker wrapper around :func:`simulate_payload` with run telemetry.
 
-    Returns ``{"stats": ..., "wall_seconds": ..., "peak_rss_kb": ...}``.
-    Peak RSS is the worker *process* high-water mark — exact under a
-    fresh pool worker, an upper bound inline — which is what the
+    Returns ``{"stats": ..., "wall_seconds": ..., "peak_rss_kb": ...,
+    "warm_state": ...}`` (``warm_state`` as :func:`warm_state` reports
+    it). Peak RSS is the worker *process* high-water mark — exact under
+    a fresh pool worker, an upper bound inline — which is what the
     manifest's runaway-cell alarm wants.
     """
     from time import perf_counter
@@ -587,10 +675,46 @@ def simulate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.telemetry.manifest import peak_rss_kb
 
     start = perf_counter()
-    stats = simulate_payload(payload)
+    state = warm_state(payload, warm_states)
+    stats = simulate_payload(payload, warm_states=warm_states)
     return {"stats": stats,
             "wall_seconds": perf_counter() - start,
-            "peak_rss_kb": peak_rss_kb()}
+            "peak_rss_kb": peak_rss_kb(),
+            "warm_state": state}
+
+
+def _shared_warmup_worker(cells: Sequence[Tuple[str, Dict[str, Any]]]):
+    """An inline :func:`simulate_cell` over ``cells`` that shares each
+    functional-warmup group's snapshot (see :func:`simulate_payload`).
+
+    The snapshot dict belongs to the returned worker alone, and a
+    group's snapshot is dropped after the group's last cell, so cells
+    run group-major keep at most one alive.
+    """
+    remaining = Counter(functional_warmup_group(payload)
+                        for _, payload in cells)
+    warm_states: Dict[Any, bytes] = {}
+
+    def worker(payload: Dict[str, Any]) -> Dict[str, Any]:
+        cell = simulate_cell(payload, warm_states)
+        group = functional_warmup_group(payload)
+        remaining[group] -= 1
+        if not remaining[group]:
+            warm_states.pop(group, None)
+        return cell
+
+    return worker
+
+
+def _group_major(cells: Sequence[Tuple[str, Dict[str, Any]]]
+                ) -> List[Tuple[str, Dict[str, Any]]]:
+    """``cells`` reordered so each functional-warmup group runs
+    back to back, groups in order of first appearance (stable)."""
+    groups: Dict[Any, List[Tuple[str, Dict[str, Any]]]] = {}
+    for key, payload in cells:
+        groups.setdefault(functional_warmup_group(payload) or key,
+                          []).append((key, payload))
+    return [cell for members in groups.values() for cell in members]
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +909,14 @@ def run_cells(payloads: Sequence[Dict[str, Any]],
     the backend seam, so every backend produces byte-identical cache
     entries. Duplicate payloads in one batch simulate once.
 
+    On an inline backend (``jobs == 1``) the batch runs group-major by
+    :func:`functional_warmup_group`: the first cell of each group warms
+    and the rest restore its snapshot (see :func:`simulate_payload`),
+    which is dropped after the group's last cell — at most one snapshot
+    is alive, and none outlives the call. Pool and queue workers warm
+    every cell natively. Either way every cell's counters equal a lone
+    :func:`simulate_payload` run's.
+
     ``progress`` (``callable(done, total, manifest)``) is invoked once
     per *simulated* cell as results land (completion order, not payload
     order); ``manifest`` is the cell's run-manifest record. Whenever the
@@ -817,7 +949,8 @@ def run_cells(payloads: Sequence[Dict[str, Any]],
         manifest = build_manifest(
             payloads[first_index], key, cached=False,
             wall_seconds=cell["wall_seconds"],
-            peak_rss_kb=cell["peak_rss_kb"], jobs=options.jobs)
+            peak_rss_kb=cell["peak_rss_kb"], jobs=options.jobs,
+            warm_state=cell["warm_state"])
         if manifest_path is not None:
             write_manifest(manifest_path, manifest)
         if progress is not None:
@@ -833,9 +966,14 @@ def run_cells(payloads: Sequence[Dict[str, Any]],
             cells[key] = cell
             note(key, pending[key][0], cell, done, total)
 
-        options.execution_backend().execute(
-            [(key, payloads[i]) for key, i in todo],
-            simulate_cell, on_result)
+        cells_todo = [(key, payloads[i]) for key, i in todo]
+        backend = options.execution_backend()
+        if backend.inline:
+            cells_todo = _group_major(cells_todo)
+            worker = _shared_warmup_worker(cells_todo)
+        else:
+            worker = simulate_cell
+        backend.execute(cells_todo, worker, on_result)
         for key, first_index in todo:
             stats = SimStats.from_dict(cells[key]["stats"])
             cache.put(key, stats, payloads[first_index])

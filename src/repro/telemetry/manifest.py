@@ -16,7 +16,7 @@ discipline; when the persistent cache is disabled manifests are skipped
 too — there is no run directory to anchor them.
 
 ``repro report manifests`` rolls the directory up into a per-config ×
-per-workload wall-time/hit-rate table (:func:`rollup` /
+per-workload wall-time/hit-rate/warm-state table (:func:`rollup` /
 :func:`render_rollup`).
 """
 
@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 #: Bumped when the manifest record layout changes.
-MANIFEST_SCHEMA = 1
+#: 2: records carry ``warm_state``.
+MANIFEST_SCHEMA = 2
 
 
 def peak_rss_kb() -> int:
@@ -76,8 +77,16 @@ def _workload_label(workload_data: Dict[str, Any]) -> str:
 
 def build_manifest(payload: Dict[str, Any], key: str, *,
                    cached: bool, wall_seconds: float,
-                   peak_rss_kb: int = 0, jobs: int = 1) -> Dict[str, Any]:
-    """The manifest record for one cell execution (JSON-able)."""
+                   peak_rss_kb: int = 0, jobs: int = 1,
+                   warm_state: str = "none") -> Dict[str, Any]:
+    """The manifest record for one cell execution (JSON-able).
+
+    ``warm_state`` says whether the cell ran its functional warmup
+    (``native``), restored the snapshot of an earlier cell of its
+    warming group (``shared``) or ran none (``none``; see
+    :func:`repro.experiments.engine.warm_state`) — so the first cell of
+    a group is the one carrying the warming wall time.
+    """
     workload_data = payload["workload"]
     record: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
@@ -94,6 +103,7 @@ def build_manifest(payload: Dict[str, Any], key: str, *,
         "wall_seconds": round(float(wall_seconds), 6),
         "peak_rss_kb": int(peak_rss_kb),
         "jobs": int(jobs),
+        "warm_state": warm_state,
     }
     if workload_data.get("kind") == "trace":
         record["workload_digest"] = workload_data.get("digest")
@@ -149,26 +159,32 @@ def read_manifests(directory) -> List[Dict[str, Any]]:
     return manifests
 
 
+def _bucket() -> Dict[str, Any]:
+    return {"cells": 0, "cached": 0, "simulated": 0, "wall_seconds": 0.0,
+            "peak_rss_kb": 0, "warm_native": 0, "warm_shared": 0}
+
+
 def rollup(manifests: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate manifests into per-config and per-workload summaries."""
-    total = {"cells": 0, "cached": 0, "simulated": 0,
-             "wall_seconds": 0.0, "peak_rss_kb": 0}
+    """Aggregate manifests into per-config and per-workload summaries.
+
+    ``warm_native`` / ``warm_shared`` count the simulated cells that ran
+    their functional warmup or restored a shared snapshot of it."""
+    total = _bucket()
     by_config: Dict[str, Dict[str, Any]] = {}
     by_workload: Dict[str, Dict[str, Any]] = {}
     for record in manifests:
         for bucket in (total,
-                       by_config.setdefault(record["config"], {
-                           "cells": 0, "cached": 0, "simulated": 0,
-                           "wall_seconds": 0.0, "peak_rss_kb": 0}),
-                       by_workload.setdefault(record["workload"], {
-                           "cells": 0, "cached": 0, "simulated": 0,
-                           "wall_seconds": 0.0, "peak_rss_kb": 0})):
+                       by_config.setdefault(record["config"], _bucket()),
+                       by_workload.setdefault(record["workload"],
+                                              _bucket())):
             bucket["cells"] += 1
             if record["cached"]:
                 bucket["cached"] += 1
             else:
                 bucket["simulated"] += 1
                 bucket["wall_seconds"] += record["wall_seconds"]
+            if record["warm_state"] != "none":
+                bucket[f"warm_{record['warm_state']}"] += 1
             bucket["peak_rss_kb"] = max(bucket["peak_rss_kb"],
                                         record["peak_rss_kb"])
     return {"total": total,
@@ -184,6 +200,8 @@ def render_rollup(summary: Dict[str, Any]) -> str:
         f"(simulated {total['simulated']}, cached {total['cached']})",
         f"simulated wall time: {total['wall_seconds']:.2f}s   "
         f"peak RSS: {total['peak_rss_kb']:,} KiB",
+        f"functional warmup: {total['warm_native']} native, "
+        f"{total['warm_shared']} shared",
     ]
     for title, table in (("by config", summary["by_config"]),
                          ("by workload", summary["by_workload"])):
@@ -191,10 +209,12 @@ def render_rollup(summary: Dict[str, Any]) -> str:
             continue
         lines.append(f"{title}:")
         lines.append(f"  {'name':<24}{'cells':>6}{'cached':>8}"
-                     f"{'wall (s)':>10}{'rss (KiB)':>11}")
+                     f"{'wall (s)':>10}{'rss (KiB)':>11}"
+                     f"{'native':>8}{'shared':>8}")
         for name, bucket in table.items():
             lines.append(
                 f"  {name:<24}{bucket['cells']:>6}{bucket['cached']:>8}"
                 f"{bucket['wall_seconds']:>10.2f}"
-                f"{bucket['peak_rss_kb']:>11,}")
+                f"{bucket['peak_rss_kb']:>11,}"
+                f"{bucket['warm_native']:>8}{bucket['warm_shared']:>8}")
     return "\n".join(lines)

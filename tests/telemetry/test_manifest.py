@@ -88,16 +88,18 @@ def test_rollup_splits_simulated_and_cached():
                 _payload("gzip", "SpecSched_4")]
     records = [
         build_manifest(payloads[0], "k0", cached=False, wall_seconds=2.0,
-                       peak_rss_kb=100),
+                       peak_rss_kb=100, warm_state="native"),
         build_manifest(payloads[1], "k1", cached=True, wall_seconds=0.0,
                        peak_rss_kb=50),
         build_manifest(payloads[2], "k2", cached=False, wall_seconds=3.0,
-                       peak_rss_kb=200),
+                       peak_rss_kb=200, warm_state="shared"),
     ]
     summary = rollup(records)
     assert summary["total"] == {
         "cells": 3, "cached": 1, "simulated": 2,
-        "wall_seconds": 5.0, "peak_rss_kb": 200}
+        "wall_seconds": 5.0, "peak_rss_kb": 200,
+        "warm_native": 1, "warm_shared": 1}
+    assert summary["by_config"]["SpecSched_4"]["warm_shared"] == 1
     assert summary["by_config"]["Baseline_0"]["cells"] == 2
     assert summary["by_config"]["SpecSched_4"]["wall_seconds"] == 3.0
     assert summary["by_workload"]["gzip"]["simulated"] == 2
@@ -107,6 +109,7 @@ def test_rollup_splits_simulated_and_cached():
     assert "cells: 3" in text
     assert "Baseline_0" in text
     assert "by workload:" in text
+    assert "functional warmup: 1 native, 1 shared" in text
 
 
 def test_manifests_dir_follows_the_cache():

@@ -27,6 +27,18 @@ location — it is what the experiment engine folds into cell cache keys
 when a cell starts from a checkpoint, so a cached result can never be
 served against a regenerated checkpoint.
 
+The payload bytes are therefore a digest contract: the state is put in
+canonical form first (dict keys sorted, dict/list/tuple subclasses
+lowered to the builtin type), then pickled without a memo, so equal
+values always give equal bytes. Canonicalizing takes one shortcut: a
+``list`` or ``tuple`` of *exact* type whose elements are all scalars
+(``int``, ``float``, ``str``, ``bytes``, ``bool``, ``None``, exact types
+again) is pickled as is instead of copied. Memo-free pickling makes the
+original and the copy indistinguishable, so the bytes do not change;
+subclasses, and anything holding a container, keep the recursive walk.
+Any change to this form changes every digest, and with them the
+engine's cell keys.
+
 The payload is a pickle of builtin containers and scalars only (that is
 what the component ``state_dict()`` protocol guarantees); loading goes
 through :class:`_PlainUnpickler`, which rejects any global reference, so
@@ -39,6 +51,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import pickle
 import platform
 import struct
@@ -81,6 +94,11 @@ class _PlainUnpickler(pickle.Unpickler):
             f"must be plain data")
 
 
+#: Leaf types a container may hold and still be pickled as is (exact
+#: types: a subclass such as ``IntEnum`` is not listed).
+_SCALAR_TYPES = frozenset((int, float, str, bytes, bool, type(None)))
+
+
 def _canonical_state(obj: Any) -> Any:
     # Pickle preserves dict insertion order, but insertion order is not
     # part of a state's *value* — the same workload dict arrives sorted
@@ -89,6 +107,12 @@ def _canonical_state(obj: Any) -> Any:
     # (falling back to insertion order for unorderable key types) so the
     # digest is order-independent. Container types are preserved:
     # restore code may distinguish tuples from lists.
+    kind = type(obj)
+    if (kind is list or kind is tuple) \
+            and _SCALAR_TYPES.issuperset(map(type, obj)):
+        # Already canonical; a copy would pickle to the same bytes (the
+        # pickler keeps no memo), so skip the element-wise rebuild.
+        return obj
     if isinstance(obj, dict):
         try:
             items = sorted(obj.items())
@@ -182,11 +206,8 @@ def _read_header(handle, path: Path):
     return flags, raw_len, digest, meta
 
 
-def read_info(path) -> CheckpointInfo:
-    """Parse header + meta of a checkpoint (no payload decode)."""
-    path = Path(path)
-    with path.open("rb") as handle:
-        flags, raw_len, digest, meta = _read_header(handle, path)
+def _make_info(path: Path, flags: int, raw_len: int, digest: bytes,
+               meta: Dict[str, Any], file_bytes: int) -> CheckpointInfo:
     return CheckpointInfo(
         path=str(path),
         version=FORMAT_VERSION,
@@ -199,9 +220,18 @@ def read_info(path) -> CheckpointInfo:
         uops_committed=int(meta.get("uops_committed", 0)),
         cycles=int(meta.get("cycles", 0)),
         provenance=dict(meta.get("provenance") or {}),
-        file_bytes=path.stat().st_size,
+        file_bytes=file_bytes,
         raw_bytes=raw_len,
     )
+
+
+def read_info(path) -> CheckpointInfo:
+    """Parse header + meta of a checkpoint (no payload decode)."""
+    path = Path(path)
+    with path.open("rb") as handle:
+        flags, raw_len, digest, meta = _read_header(handle, path)
+        size = os.fstat(handle.fileno()).st_size
+    return _make_info(path, flags, raw_len, digest, meta, size)
 
 
 def checkpoint_digest(path) -> str:
@@ -251,7 +281,10 @@ def write_checkpoint(payload: Dict[str, Any], path, *,
                                  digest, len(meta_raw), b"\0" * 12))
         handle.write(meta_raw)
         handle.write(stored)
-    return read_info(path)
+    # The info a reader would parse back: meta as JSON returns it (tuples
+    # become lists), size as written.
+    return _make_info(path, flags, len(raw), digest, json.loads(meta_raw),
+                      HEADER.size + len(meta_raw) + len(stored))
 
 
 def save_checkpoint(sim, path, *, workload=None, seed: Optional[int] = None,
@@ -331,7 +364,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read, digest-verify and decode a checkpoint file."""
     path = Path(path)
     with path.open("rb") as handle:
-        flags, raw_len, digest, _meta = _read_header(handle, path)
+        flags, raw_len, digest, meta = _read_header(handle, path)
+        size = os.fstat(handle.fileno()).st_size
         stored = handle.read()
     if flags & FLAG_ZLIB:
         try:
@@ -346,7 +380,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path.name}: payload digest mismatch (file corrupted or "
             f"tampered)")
-    return Checkpoint(read_info(path), _loads(raw))
+    return Checkpoint(_make_info(path, flags, raw_len, digest, meta, size),
+                      _loads(raw))
 
 
 def restore_simulator(path, trace=None, phase_profile=None):

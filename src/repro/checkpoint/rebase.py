@@ -39,6 +39,17 @@ Compatibility rules, enforced before any state is assembled:
   the warmed filter table transplants only into an identically shaped
   one. A filterless target simply drops the source's filter state
   (policy tables reset, caches/predictors carried over).
+
+Cost model. A rebase decodes its source and builds a fresh target
+machine; both are the expensive part, and both repeat when a caller
+rebases many checkpoints. :func:`rebase_checkpoint` therefore accepts an
+already decoded :class:`~repro.checkpoint.format.Checkpoint` and, via
+the internal ``_fresh_states`` keyword, a dict in which fresh target
+states are built once per (target config, workload, seed) and reused.
+Chained sampling (:func:`repro.checkpoint.sampling.
+chained_cell_payloads`) uses both chain-major: it decodes each chain
+checkpoint once, rebases it to every target of the chain, and drops it
+before decoding the next; the fresh states live for one chain.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.common.config import HitMissPolicy, SimConfig
+from repro.common.serialize import stable_hash
 from repro.checkpoint.format import (
     CHECKPOINT_SCHEMA,
     Checkpoint,
@@ -128,7 +140,9 @@ _WARMED_KEYS = ("stats", "trace", "branch_unit", "hierarchy")
 
 
 def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
-                      output, *, compress: bool = True) -> CheckpointInfo:
+                      output, *, compress: bool = True,
+                      _fresh_states: Optional[Dict[str, Any]] = None
+                      ) -> CheckpointInfo:
     """Re-target the warm checkpoint ``source`` to ``target_config``,
     writing the result to ``output``; returns the new checkpoint's info.
 
@@ -138,10 +152,12 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
     are carried over verbatim, everything else — including every
     scheduling-policy table except a shape-compatible hit/miss filter —
     comes from a freshly built target machine.
-    """
-    from repro.pipeline.cpu import Simulator
-    from repro.traces.registry import workload_from_payload
 
+    ``source`` may be a path or an already decoded checkpoint.
+    ``_fresh_states`` (internal) is a dict kept by a caller that rebases
+    many checkpoints: the fresh target machine's state is built into it
+    once per (target config, workload, seed) and reused, never mutated.
+    """
     ckpt = source if isinstance(source, Checkpoint) else \
         load_checkpoint(source)
     target_config = target_config.validate()
@@ -154,10 +170,16 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
             f"{ckpt.info.path}: checkpoint records no workload, so the "
             f"target machine's trace source cannot be rebuilt")
 
-    workload = workload_from_payload(workload_data)
     seed = ckpt.payload.get("seed")
-    fresh = Simulator(target_config,
-                      workload.build_trace(seed)).state_dict()
+    if _fresh_states is None:
+        fresh = _fresh_state(target_config, workload_data, seed)
+    else:
+        key = stable_hash({"config": target_dict, "workload": workload_data,
+                           "seed": seed})
+        fresh = _fresh_states.get(key)
+        if fresh is None:
+            fresh = _fresh_states[key] = _fresh_state(
+                target_config, workload_data, seed)
     source_state = ckpt.payload["sim"]
     merged = dict(fresh)                 # preserves native key order
     for key in _WARMED_KEYS:
@@ -183,3 +205,14 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
         provenance["stream_uops"] = ckpt.info.provenance["stream_uops"]
     return write_checkpoint(payload, output, uops_committed=0, cycles=0,
                             compress=compress, provenance=provenance)
+
+
+def _fresh_state(target_config: SimConfig, workload_data: Dict[str, Any],
+                 seed) -> Dict[str, Any]:
+    """``state_dict()`` of a freshly built target machine: the source of
+    every island a rebase does not carry over."""
+    from repro.pipeline.cpu import Simulator
+    from repro.traces.registry import workload_from_payload
+
+    trace = workload_from_payload(workload_data).build_trace(seed)
+    return Simulator(target_config, trace).state_dict()

@@ -33,7 +33,9 @@ Three execution shapes:
   single-pass shape while the measurement cells keep full pool
   parallelism. One warming chain serves every config of a workload that
   shares memory/branch parameters — the chain's checkpoints are rebased
-  (:mod:`repro.checkpoint.rebase`) across scheduling-policy configs.
+  (:mod:`repro.checkpoint.rebase`) across scheduling-policy configs,
+  chain-major: each chain checkpoint is decoded once, rebased to every
+  target config of its chain, and dropped before the next is decoded.
   Interval results are bit-identical to the legacy **cells** shape
   (functional warming is deterministic and checkpoint round-trips are
   exact), so the two modes are interchangeable cache-compatible
@@ -163,43 +165,55 @@ def sample_payloads(base_payload: Dict[str, Any],
     ]
 
 
-def _rebased_ref(ref: Dict[str, Any], target_config: SimConfig,
-                 store: Path, memo: Dict[str, Dict[str, Any]]
-                 ) -> Dict[str, Any]:
-    """The checkpoint ref for ``ref`` re-targeted to ``target_config``,
-    materialized content-addressed in ``store`` (reused when present).
+def _rebase_chain(chain_refs: List[Dict[str, Any]],
+                  targets: Dict[str, SimConfig],
+                  store: Path) -> Dict[str, List[Dict[str, Any]]]:
+    """Rebase one warming chain to every target config, chain-major.
 
-    The store name hashes the *source digest* + target config + code
+    Returns, per ``targets`` key, the chain's refs re-targeted to that
+    config, materialized content-addressed in ``store`` (reused when
+    present). Each chain checkpoint is decoded at most once — only when
+    some target still lacks its rebased file — rebased to every such
+    target, and dropped before the next one is decoded; the fresh target
+    states are built once per target and live only for this call.
+
+    A store name hashes the *source digest* + target config + code
     version, so a regenerated or re-warmed source chain can never serve
     a stale rebased file.
     """
-    from repro.checkpoint.format import CHECKPOINT_SUFFIX
+    from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
     from repro.checkpoint.rebase import rebase_checkpoint
     from repro.experiments.engine import checkpoint_store_ref, code_version
 
-    key = stable_hash({"rebase": ref["digest"],
-                       "config": target_config.to_dict(),
-                       "code_version": code_version()})
-    if key in memo:
-        return memo[key]
-    out = store / f"{key}{CHECKPOINT_SUFFIX}"
-    cached = checkpoint_store_ref(out)
-    if cached is None:
-        fd, tmp_name = tempfile.mkstemp(dir=store, suffix=".tmp")
-        os.close(fd)
-        try:
-            rebase_checkpoint(ref["path"], target_config, tmp_name)
-            os.replace(tmp_name, out)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        cached = checkpoint_store_ref(out)
-        assert cached is not None
-    memo[key] = cached
-    return cached
+    rebased: Dict[str, List[Dict[str, Any]]] = {key: [] for key in targets}
+    fresh_states: Dict[str, Any] = {}
+    for ref in chain_refs:
+        source = None                    # drops the previous decode
+        for key, target in targets.items():
+            name = stable_hash({"rebase": ref["digest"],
+                                "config": target.to_dict(),
+                                "code_version": code_version()})
+            out = store / f"{name}{CHECKPOINT_SUFFIX}"
+            cached = checkpoint_store_ref(out)
+            if cached is None:
+                if source is None:
+                    source = load_checkpoint(ref["path"])
+                fd, tmp_name = tempfile.mkstemp(dir=store, suffix=".tmp")
+                os.close(fd)
+                try:
+                    rebase_checkpoint(source, target, tmp_name,
+                                      _fresh_states=fresh_states)
+                    os.replace(tmp_name, out)
+                except BaseException:
+                    try:
+                        os.unlink(tmp_name)
+                    except OSError:
+                        pass
+                    raise
+                cached = checkpoint_store_ref(out)
+                assert cached is not None
+            rebased[key].append(cached)
+    return rebased
 
 
 def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
@@ -220,6 +234,11 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
     chain's group, and the returned measurement payloads — in
     ``bases``-major, interval-minor order, ready for ``run_cells`` —
     reference the (possibly rebased) checkpoints by digest.
+
+    Rebasing runs chain-major (:func:`_rebase_chain`): each chain
+    checkpoint is decoded once and re-targeted to every other config of
+    its chain before the next one is decoded, so no more than one
+    decoded checkpoint is alive at a time and none outlives the call.
     """
     from repro.checkpoint.rebase import filter_shape
     from repro.experiments.engine import (
@@ -283,15 +302,25 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
             prev[cid] = ref
             refs[cid].append(ref)
 
-    payloads = []
-    rebase_memo: Dict[str, Dict[str, Any]] = {}
+    # Re-target each chain to the other configs it serves.
+    targets: Dict[Any, Dict[str, SimConfig]] = {cid: {} for cid in chain_ids}
+    target_of = []                       # per base: target key or None
     for base, cid in zip(bases, chain_of):
         if base["config"] == donors[cid]["config"]:
-            base_refs = refs[cid]
-        else:
-            target = SimConfig.from_dict(base["config"]).validate()
-            base_refs = [_rebased_ref(ref, target, store, rebase_memo)
-                         for ref in refs[cid]]
+            target_of.append(None)
+            continue
+        target_key = stable_hash(base["config"])
+        if target_key not in targets[cid]:
+            targets[cid][target_key] = \
+                SimConfig.from_dict(base["config"]).validate()
+        target_of.append(target_key)
+    rebased = {cid: _rebase_chain(refs[cid], targets[cid], store)
+               for cid in chain_ids if targets[cid]}
+
+    payloads = []
+    for base, cid, target_key in zip(bases, chain_of, target_of):
+        base_refs = (refs[cid] if target_key is None
+                     else rebased[cid][target_key])
         for index in range(spec.intervals):
             payloads.append({
                 **{key: value for key, value in base.items()

@@ -4,11 +4,20 @@ cache-key contract for producing cells."""
 
 from __future__ import annotations
 
+import collections
 import struct
+import weakref
 
 import pytest
 
-from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
+from repro.checkpoint import format as checkpoint_format
+from repro.checkpoint import rebase as checkpoint_rebase
+from repro.checkpoint.format import (
+    CHECKPOINT_SUFFIX,
+    load_checkpoint,
+    read_info,
+)
+from repro.checkpoint.rebase import rebase_checkpoint
 from repro.checkpoint.sampling import (
     SamplingError,
     SamplingSpec,
@@ -16,6 +25,7 @@ from repro.checkpoint.sampling import (
     run_sampled,
     run_sampled_cells_chained,
 )
+from repro.common.config import SimConfig
 from repro.core.presets import make_config
 from repro.experiments.engine import (
     EngineOptions,
@@ -26,6 +36,7 @@ from repro.experiments.engine import (
     produce_payload,
 )
 from repro.experiments.runner import Settings, run_sweep
+from repro.pipeline.cpu import Simulator
 from repro.traces.registry import resolve_workload
 
 SPEC = SamplingSpec(intervals=3, interval_uops=600, warmup_uops=200,
@@ -33,9 +44,9 @@ SPEC = SamplingSpec(intervals=3, interval_uops=600, warmup_uops=200,
 OFF = EngineOptions(jobs=1, cache_dir="off")
 
 
-def _base(preset="SpecSched_4", workload="gzip"):
+def _base(preset="SpecSched_4", workload="gzip", banked=True):
     return base_cell_payload(
-        make_config(preset), resolve_workload(workload),
+        make_config(preset, banked=banked), resolve_workload(workload),
         warmup_uops=SPEC.warmup_uops, measure_uops=SPEC.interval_uops,
         functional_warmup_uops=0, seed=1)
 
@@ -164,3 +175,82 @@ def test_rebased_chains_share_one_warming_pass(tmp_path):
     for payload in payloads:
         assert payload["checkpoint"]["digest"]
         assert payload["sampling"]["spec"] == SPEC.to_dict()
+
+
+#: The fig8 series: Baseline_0 unbanked warms its own chain (its memory
+#: config differs); SpecSched_4 and Crit rebase from the Combined chain.
+FIG8_GRID = [("Baseline_0", False), ("SpecSched_4", True),
+             ("SpecSched_4_Combined", True), ("SpecSched_4_Crit", True)]
+
+
+def test_rebase_is_chain_major(tmp_path, monkeypatch):
+    bases = [_base(preset, workload, banked)
+             for workload in ("gzip", "mcf") for preset, banked in FIG8_GRID]
+    store = tmp_path / "store"
+    # Warm the chains, then drop the rebased files: the spied call below
+    # is served every producing cell from the store and only rebases.
+    first = chained_cell_payloads(bases, SPEC, options=OFF, store=store)
+    for path in store.glob(f"*{CHECKPOINT_SUFFIX}"):
+        if read_info(path).provenance["mode"] == "rebase":
+            path.unlink()
+
+    loads = collections.Counter()
+    decoded = []
+    alive = []                           # decoded checkpoints alive per load
+    builds = collections.Counter()
+    real_load = checkpoint_format.load_checkpoint
+    real_init = Simulator.__init__
+
+    def spy_load(path):
+        alive.append(sum(ref() is not None for ref in decoded))
+        ckpt = real_load(path)
+        loads[str(path)] += 1
+        decoded.append(weakref.ref(ckpt))
+        return ckpt
+
+    def spy_init(sim, config, *args, **kwargs):
+        builds[config.name] += 1
+        real_init(sim, config, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint_format, "load_checkpoint", spy_load)
+    monkeypatch.setattr(checkpoint_rebase, "load_checkpoint", spy_load)
+    monkeypatch.setattr(Simulator, "__init__", spy_init)
+    payloads = chained_cell_payloads(bases, SPEC, options=OFF, store=store)
+    assert decoded and all(ref() is None for ref in decoded)
+    assert max(alive) == 1               # only the chain checkpoint in use
+    monkeypatch.undo()
+
+    assert payloads == first
+    infos = {str(p): read_info(p) for p in store.glob(f"*{CHECKPOINT_SUFFIX}")}
+    chain_paths = {path for path, info in infos.items()
+                   if info.provenance["mode"] == "functional"}
+    sources = collections.Counter(
+        info.provenance["source_digest"] for info in infos.values()
+        if info.provenance["mode"] == "rebase")
+    assert len(chain_paths) == 2 * 2 * SPEC.intervals
+    assert len(infos) - len(chain_paths) == 2 * 2 * SPEC.intervals
+    for path in chain_paths:
+        # One store-verify load per chain checkpoint, plus exactly one
+        # decode for rebasing when its chain serves other configs.
+        rebased_from = sources[infos[path].digest]
+        assert rebased_from in (0, 2)
+        assert loads[path] == 1 + (rebased_from > 0)
+    for path in set(infos) - chain_paths:
+        assert loads[path] == 1          # post-write verify only
+    # One fresh target machine per (chain, target), not per interval.
+    assert builds == {"SpecSched_4": 2, "SpecSched_4_Crit": 2}
+
+    # Oracle: every ref rebased on its own, straight from its path.
+    by_digest = {info.digest: path for path, info in infos.items()}
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    for number, payload in enumerate(payloads):
+        info = infos[payload["checkpoint"]["path"]]
+        if info.provenance["mode"] != "rebase":
+            continue
+        target = SimConfig.from_dict(payload["config"]).validate()
+        expected = rebase_checkpoint(
+            by_digest[info.provenance["source_digest"]], target,
+            oracle / f"{number}{CHECKPOINT_SUFFIX}")
+        assert expected.digest == info.digest == \
+            payload["checkpoint"]["digest"]

@@ -74,6 +74,23 @@ def test_uncompressed_roundtrip(tmp_path, warm_sim):
     assert loaded.payload["sim"]["stats"] == sim.stats.to_dict()
 
 
+@pytest.mark.parametrize("compress", [True, False])
+def test_info_without_reopening_matches_read_info(tmp_path, warm_sim,
+                                                  compress):
+    """The writer and the loader build their info from what they wrote or
+    parsed (one open per file); it must equal a fresh header parse."""
+    workload, sim = warm_sim
+    path = tmp_path / "i.ckpt"
+    written = save_checkpoint(sim, path, workload=workload, seed=1,
+                              compress=compress,
+                              provenance={"pair": (1, 2)})
+    parsed = read_info(path)
+    assert load_checkpoint(path).info == parsed
+    assert written == parsed
+    assert parsed.file_bytes == path.stat().st_size
+    assert parsed.provenance["pair"] == [1, 2]    # as JSON reads it back
+
+
 def test_truncated_file_rejected(tmp_path, warm_sim):
     workload, sim = warm_sim
     path = tmp_path / "t.ckpt"
